@@ -305,7 +305,7 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
         if (resilient) s.ack_durable();
       };
       s.on_receive([&](const decouple::RawElement& el) {
-        if (keyed && el.data != nullptr && el.bytes >= sizeof(std::uint64_t)) {
+        if (keyed && el.data_bytes >= sizeof(std::uint64_t)) {
           // Decode the deterministic fill_ids encoding of the batch's first
           // particle: worker, step, and index recover the keyed offset.
           std::uint64_t id = 0;
@@ -327,8 +327,8 @@ PicIoResult run_pic_io(IoVariant variant, const PicIoConfig& config,
         }
         if (config.real_data && el.data) {
           const std::size_t base = buffer.size();
-          buffer.resize(base + el.bytes);
-          std::memcpy(buffer.data() + base, el.data, el.bytes);
+          buffer.resize(base + el.data_bytes);
+          std::memcpy(buffer.data() + base, el.data, el.data_bytes);
         }
         buffered += el.bytes;
         consumed_bytes += el.bytes;

@@ -221,7 +221,8 @@ WordcountResult run_decoupled(const WordcountConfig& config,
         self.compute(ns_cost(config.histogram_merge_ns_per_byte, el.bytes),
                      "reduce");
         if (config.real_data && el.data) {
-          std::vector<std::uint64_t> part(el.bytes / sizeof(std::uint64_t));
+          std::vector<std::uint64_t> part(el.data_bytes /
+                                          sizeof(std::uint64_t));
           std::memcpy(part.data(), el.data, part.size() * sizeof(std::uint64_t));
           merge_into(local_hist, part);
           if (!config.aggregate_reduce_group)
@@ -249,7 +250,8 @@ WordcountResult run_decoupled(const WordcountConfig& config,
         self.compute(ns_cost(config.histogram_merge_ns_per_byte, el.bytes),
                      "reduce");
         if (config.real_data && el.data) {
-          std::vector<std::uint64_t> part(el.bytes / sizeof(std::uint64_t));
+          std::vector<std::uint64_t> part(el.data_bytes /
+                                          sizeof(std::uint64_t));
           std::memcpy(part.data(), el.data, part.size() * sizeof(std::uint64_t));
           merge_into(global_hist, part);
         }

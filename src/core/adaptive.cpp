@@ -171,7 +171,7 @@ std::uint32_t FlowController::retune_ack_interval(
 }
 
 std::uint32_t adaptive_record_count(const StreamElement& element) {
-  if (!element.data || element.bytes < sizeof(AdaptiveHeader)) return 0;
+  if (!element.data || element.data_bytes < sizeof(AdaptiveHeader)) return 0;
   AdaptiveHeader header;
   std::memcpy(&header, element.data, sizeof header);
   return header.records;

@@ -140,9 +140,10 @@ struct ChannelConfig {
   static constexpr std::uint32_t kDefaultCoalesceBudget = 2048;
   /// Default per-frame element cap when coalesce_max_elements is 0.
   static constexpr std::uint32_t kDefaultCoalesceMaxElements = 128;
-  /// Self-tuning may grow a frame budget to at most this multiple of its
-  /// configured value; consumers size their receive buffers from the same
-  /// bound, so both sides agree without coordination.
+  /// Self-tuning may grow a producer's frame budget to at most this
+  /// multiple of its configured value. A producer-side bound only:
+  /// consumers need not know it, since their receive buffers grow to the
+  /// largest real frame that actually arrives.
   static constexpr std::uint32_t kCoalesceGrowthCap = 4;
   /// Adaptive flow control may grow the effective credit window to at most
   /// this multiple of max_inflight (and never below it): the consumer-side

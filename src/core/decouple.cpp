@@ -168,7 +168,7 @@ std::uint64_t RawStream::records_sent() const { return batcher().records_sent();
 
 std::uint32_t adaptive_record_count(const RawElement& element) {
   if (element.data == nullptr ||
-      element.bytes < sizeof(stream::AdaptiveHeader))
+      element.data_bytes < sizeof(stream::AdaptiveHeader))
     return 0;
   stream::AdaptiveHeader header;
   std::memcpy(&header, element.data, sizeof header);

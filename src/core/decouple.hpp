@@ -184,18 +184,28 @@ struct Element {
   Record record{};                     ///< zeroed for synthetic elements
   const std::byte* payload = nullptr;  ///< bytes after the record (real only)
   std::size_t payload_bytes = 0;       ///< wire bytes after the record
+  /// The trailing part of payload_bytes that was modeled, never delivered:
+  /// all of it for send_modeled and synthetic elements, 0 for real ones.
+  std::size_t modeled_bytes = 0;
   int producer = -1;                   ///< producer index in the channel
   bool synthetic = false;              ///< modeled element: no real bytes
 
+  /// Real payload bytes readable at `payload`.
+  [[nodiscard]] std::size_t delivered_bytes() const noexcept {
+    return payload_bytes - modeled_bytes;
+  }
+
   /// Copy `count` payload items of U into `out` (real elements only; the
   /// record usually states how many items are meaningful). Rejects counts a
-  /// corrupt or mismatched record header could smuggle past the wire size.
+  /// corrupt or mismatched record header could smuggle past the delivered
+  /// bytes — including any count on a modeled body.
   template <typename U>
   void payload_to(std::vector<U>& out, std::size_t count) const {
     static_assert(std::is_trivially_copyable_v<U>);
-    if (count * sizeof(U) > payload_bytes)
+    if (count * sizeof(U) > delivered_bytes())
       throw std::length_error(
-          "decouple: record-declared payload exceeds the element's wire size");
+          "decouple: record-declared payload exceeds the element's delivered "
+          "bytes");
     out.resize(count);
     if (count > 0) std::memcpy(out.data(), payload, count * sizeof(U));
   }
@@ -207,6 +217,7 @@ struct RawElement {
   std::size_t bytes = 0;            ///< wire size
   int producer = -1;                ///< producer index in the channel
   bool synthetic = false;
+  std::size_t data_bytes = 0;       ///< real bytes readable at `data`
 };
 
 /// Record count of an element flushed by an adaptive stream.
@@ -415,16 +426,19 @@ class TypedStream final : public StreamBase {
     Element<Record> typed;
     typed.producer = el.producer;
     typed.synthetic = el.data == nullptr;
+    typed.payload_bytes =
+        el.bytes > sizeof(Record) ? el.bytes - sizeof(Record) : 0;
+    typed.modeled_bytes = typed.payload_bytes;
     if (el.data != nullptr) {
       // A truncated or mismatched element must not turn into an overread of
-      // the wire payload: the record header has to be fully present.
-      if (el.bytes < sizeof(Record))
+      // the delivered bytes: the record header has to be fully present.
+      if (el.data_bytes < sizeof(Record))
         throw std::length_error(
             "decouple: element smaller than its record type");
       std::memcpy(&typed.record, el.data, sizeof(Record));
       typed.payload = el.data + sizeof(Record);
+      typed.modeled_bytes -= el.data_bytes - sizeof(Record);
     }
-    typed.payload_bytes = el.bytes > sizeof(Record) ? el.bytes - sizeof(Record) : 0;
     handler_(typed);
   }
 
@@ -467,7 +481,8 @@ class RawStream final : public StreamBase {
   void on_bound() override;
   void dispatch(const stream::StreamElement& el) override {
     if (!handler_) return;
-    handler_(RawElement{el.data, el.bytes, el.producer, el.data == nullptr});
+    handler_(RawElement{el.data, el.bytes, el.producer, el.data == nullptr,
+                        el.data_bytes});
   }
   [[nodiscard]] stream::AdaptiveBatcher& batcher();
   [[nodiscard]] const stream::AdaptiveBatcher& batcher() const;

@@ -215,8 +215,6 @@ std::uint32_t Stream::max_inflight_now() const noexcept {
              : (channel_ != nullptr ? channel_->config().max_inflight : 0);
 }
 
-std::uint32_t Stream::window_now() const noexcept { return max_inflight_now(); }
-
 std::uint64_t Stream::replayed_elements() const noexcept {
   return coalesce_ ? coalesce_->replayed_elements : 0;
 }
@@ -440,7 +438,7 @@ void Stream::isend_to(mpi::Rank& self, int consumer, mpi::SendBuf element) {
   // only delivered elements can come back as credits. (Failover can return
   // a handful of duplicate credits, so the outstanding count is computed
   // underflow-safe.)
-  const std::uint32_t window = window_now();
+  const std::uint32_t window = max_inflight_now();
   if (window > 0 && sent_ > acks_seen_ && sent_ - acks_seen_ >= window) {
     flush_all_frames(self, static_cast<std::uint8_t>(FlushTrigger::Credit));
     while (sent_ > acks_seen_ && sent_ - acks_seen_ >= window)
@@ -672,39 +670,9 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
   resilient_ = cfg.resilient();
   manual_durability_ = cfg.manual_durability;
   checkpoint_interval_ = cfg.checkpoint_interval;
-  // Tree-mode terms carry up to one count entry per consumer; coalesced
-  // frames carry up to the (possibly self-tuned) budget. Size the receive
-  // buffer for the largest of those, the bare element, or a single-element
-  // frame — the growth factor applies only when self-tuning can actually
-  // grow the producer's budget. Resilient frames carry the epoch header on
-  // top, and arrive even with coalescing off (forced single-element frames).
-  const std::size_t frame_overhead =
-      kFrameOverhead + (resilient_ ? kEpochOverhead : 0);
-  std::size_t capacity = element_size_;
-  if (cfg.coalesce_budget > 0 || resilient_) {
-    const std::size_t growth =
-        cfg.flow_autotune && cfg.coalesce_budget > 0
-            ? ChannelConfig::kCoalesceGrowthCap
-            : 1;
-    capacity = std::max(capacity + frame_overhead + kSubOverhead,
-                        static_cast<std::size_t>(cfg.coalesce_budget) * growth);
-  }
-  if (channel_->tree_termination()) {
-    const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-    capacity = std::max(capacity, consumers * sizeof(TermEntry));
-    term_rx_.reserve(consumers);
-    term_tx_.reserve(consumers);
-    term_slice_.reserve(consumers);
-  }
   if (resilient_) {
     const auto producers = static_cast<std::size_t>(channel_->producer_count());
     const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-    // Rebalance syncs carry up to one entry per producer; tree-mode
-    // announces carry the whole P x C count matrix.
-    capacity = std::max(capacity, producers * sizeof(SyncEntry));
-    if (channel_->tree_termination())
-      capacity =
-          std::max(capacity, producers * consumers * sizeof(std::uint64_t));
     term_from_.assign(producers, 0);
     producer_excluded_.assign(producers, 0);
     adopted_.assign(consumers, 0);
@@ -723,7 +691,6 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
       announce_acked_.assign(consumers, 0);
     }
   }
-  element_buffer_.resize(capacity);
   if (cfg.max_inflight > 0) {
     // Effective credit batch, clamped for liveness: a blocked producer has
     // max_inflight un-acked elements spread over the consumers it routes to
@@ -754,40 +721,29 @@ void Stream::ensure_consumer_state(mpi::Rank& self) {
 void Stream::fan_out_term(mpi::Rank& self,
                           const std::vector<TermEntry>& entries) {
   // Every child gets a collective term; its payload is sliced down to the
-  // counts of the child's own subtree. The slice scratch is a reserved
-  // member, reused across children instead of reallocating per slice.
-  for (const int child : channel_->term_children(my_consumer_))
-    fan_out_to(self, child, entries);
-}
-
-void Stream::fan_out_to(mpi::Rank& self, int child,
-                        const std::vector<TermEntry>& entries) {
+  // counts of the child's own subtree. The slice scratch is a member,
+  // reused across children instead of reallocating per slice. (Only
+  // non-resilient channels fan out: resilient tree channels announce the
+  // count matrix to every consumer directly.)
   auto& machine = self.machine();
-  if (resilient_ &&
-      machine.rank_failed(
-          channel_->comm().world_rank(channel_->consumer_rank(child)))) {
-    // Route around a crashed interior consumer: its subtrees still need the
-    // collective term, delivered straight to the grandchildren.
-    for (const int grandchild : channel_->term_children(child))
-      fan_out_to(self, grandchild, entries);
-    return;
+  for (const int child : channel_->term_children(my_consumer_)) {
+    term_slice_.clear();
+    for (const TermEntry& e : entries)
+      if (channel_->term_in_subtree_of(static_cast<int>(e.consumer), child))
+        term_slice_.push_back(e);
+    self.process().advance(machine.config().network.send_overhead);
+    machine.post_send(
+        context_, channel_->consumer_rank(my_consumer_), self.world_rank(),
+        channel_->comm().world_rank(channel_->consumer_rank(child)), kTagTerm,
+        mpi::SendBuf::of(term_slice_.data(), term_slice_.size()));
+    ++term_msgs_sent_;
   }
-  term_slice_.clear();
-  for (const TermEntry& e : entries)
-    if (channel_->term_in_subtree_of(static_cast<int>(e.consumer), child))
-      term_slice_.push_back(e);
-  self.process().advance(machine.config().network.send_overhead);
-  machine.post_send(context_, channel_->consumer_rank(my_consumer_),
-                    self.world_rank(),
-                    channel_->comm().world_rank(channel_->consumer_rank(child)),
-                    kTagTerm,
-                    mpi::SendBuf::of(term_slice_.data(), term_slice_.size()));
-  ++term_msgs_sent_;
 }
 
 void Stream::handle_tree_term(mpi::Rank& self, const mpi::Status& status) {
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-  const std::size_t n = std::min(status.bytes / sizeof(TermEntry), consumers);
+  const std::size_t n =
+      std::min(status.data_bytes / sizeof(TermEntry), consumers);
   term_rx_.resize(n);
   if (n > 0)
     std::memcpy(term_rx_.data(), element_buffer_.data(), n * sizeof(TermEntry));
@@ -866,10 +822,8 @@ void Stream::await_credit(mpi::Rank& self) {
   self.wait(req);
   // Each ack carries the batch size it returns; malformed/synthetic acks
   // conservatively count one credit.
-  acks_seen_ += (!req->status.synthetic && req->status.bytes >= sizeof granted &&
-                 granted > 0)
-                    ? granted
-                    : 1;
+  acks_seen_ +=
+      req->status.data_bytes >= sizeof granted && granted > 0 ? granted : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -1256,7 +1210,8 @@ void Stream::handle_counted_term(mpi::Rank& self, const mpi::Status& status) {
   if (status.synthetic || p < 0 || p >= channel_->producer_count()) return;
   const auto pz = static_cast<std::size_t>(p);
   const auto consumers = static_cast<std::size_t>(channel_->consumer_count());
-  const std::size_t n = std::min(status.bytes / sizeof(TermEntry), consumers);
+  const std::size_t n =
+      std::min(status.data_bytes / sizeof(TermEntry), consumers);
   term_rx_.resize(n);
   if (n > 0)
     std::memcpy(term_rx_.data(), element_buffer_.data(), n * sizeof(TermEntry));
@@ -1272,8 +1227,9 @@ void Stream::handle_counted_term(mpi::Rank& self, const mpi::Status& status) {
   (void)self;
 }
 
-void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status) {
-  if (!resilient_ || status.synthetic) return;
+void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status,
+                         const std::byte* data) {
+  if (!resilient_) return;
   const int producers = channel_->producer_count();
   if (status.source >= 0 && status.source < producers) {
     // Handback marker from a producer: its flow returned to the home slot.
@@ -1281,9 +1237,9 @@ void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status) {
     // is FIFO-after every element the producer sent here, so the cursor is
     // final) and erase the local entry — the dedup filter's memory bound
     // under churn.
-    if (status.bytes < sizeof(FlowHandoff)) return;
+    if (status.data_bytes < sizeof(FlowHandoff)) return;
     FlowHandoff marker;
-    std::memcpy(&marker, element_buffer_.data(), sizeof marker);
+    std::memcpy(&marker, data, sizeof marker);
     const int flow = static_cast<int>(marker.flow);
     if (flow < 0 || flow >= channel_->consumer_count() ||
         flow == my_consumer_)
@@ -1304,10 +1260,10 @@ void Stream::handle_sync(mpi::Rank& self, const mpi::Status& status) {
   }
   // Cursor sync from another consumer (a retiree handing over its slots, or
   // an adopter answering a handback marker): adopt the carried cursors.
-  const std::size_t n = status.bytes / sizeof(SyncEntry);
+  const std::size_t n = status.data_bytes / sizeof(SyncEntry);
   for (std::size_t i = 0; i < n; ++i) {
     SyncEntry e;
-    std::memcpy(&e, element_buffer_.data() + i * sizeof(SyncEntry), sizeof e);
+    std::memcpy(&e, data + i * sizeof(SyncEntry), sizeof e);
     const int p = static_cast<int>(e.producer);
     const int flow = static_cast<int>(e.flow);
     if (p < 0 || p >= producers || flow < 0 ||
@@ -1360,13 +1316,15 @@ void Stream::send_rebalance_sync(mpi::Rank& self, int target, int flow,
 void Stream::await_rebalance_sync(mpi::Rank& self, int retiree_flow) {
   auto& machine = self.machine();
   const int src = channel_->consumer_rank(retiree_flow);
+  // Its own buffer: this runs between the elements of a partially drained
+  // frame, which element_buffer_ still holds.
+  std::vector<std::byte> sync;
   while (synced_slot_[static_cast<std::size_t>(retiree_flow)] == 0) {
-    auto req = machine.post_recv(
-        context_, self.world_rank(), src, kTagSync,
-        mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()}, {},
-        /*fused_wake=*/true);
+    auto req = machine.post_recv(context_, self.world_rank(), src, kTagSync,
+                                 mpi::RecvBuf::growing(sync), {},
+                                 /*fused_wake=*/true);
     self.wait(req);
-    handle_sync(self, req->status);
+    handle_sync(self, req->status, sync.data());
   }
 }
 
@@ -1423,7 +1381,7 @@ void Stream::drain_durable_acks(mpi::Rank& self) {
                                  st.source, kTagDurable,
                                  mpi::RecvBuf::of(&ack, 1));
     self.wait(req);  // completes synchronously after a successful probe
-    if (!req->status.synthetic && req->status.bytes >= sizeof ack &&
+    if (req->status.data_bytes >= sizeof ack &&
         ack.flow < coalesce_->flows.size())
       coalesce_->flows[ack.flow].log.truncate(ack.upto);
   }
@@ -1465,6 +1423,8 @@ void Stream::account_data_element(mpi::Rank& self, int producer) {
 }
 
 void Stream::begin_frame(const mpi::Status& status) {
+  // Frame headers and sub-headers are always real bytes, even when every
+  // packed element is modeled.
   FrameHeader header;
   std::memcpy(&header, element_buffer_.data(), sizeof header);
   frame_left_ = header.elements;
@@ -1498,12 +1458,10 @@ bool Stream::consume_frame_element(mpi::Rank& self) {
       !resilient_ || dedup_.admit(frame_source_, frame_flow_, seq);
   if (admit) {
     ++processed_data_;
-    if (operator_) {
-      StreamElement el{sub.data > 0 ? element_buffer_.data() + data_at
-                                    : nullptr,
-                       sub.wire, frame_source_};
-      operator_(el);
-    }
+    if (operator_)
+      operator_(StreamElement{
+          sub.data > 0 ? element_buffer_.data() + data_at : nullptr, sub.wire,
+          frame_source_, sub.data});
     if (tree_v2_ && counts_known_ && !matrix_satisfied_)
       update_matrix_exhaustion(self);
     account_data_element(self, frame_source_);
@@ -1551,8 +1509,7 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
   }
   if (status.tag == kTagHandoff) {
     // Control flow, not an element: adopt the flow's durable point.
-    if (resilient_ && !status.synthetic &&
-        status.bytes >= sizeof(FlowHandoff) && !element_buffer_.empty()) {
+    if (resilient_ && status.data_bytes >= sizeof(FlowHandoff)) {
       FlowHandoff handoff;
       std::memcpy(&handoff, element_buffer_.data(), sizeof handoff);
       dedup_.advance_to(status.source, static_cast<int>(handoff.flow),
@@ -1562,8 +1519,8 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
     return;
   }
   if (status.tag == kTagAnnounce) {
-    if (tree_v2_ && !status.synthetic &&
-        status.bytes >= matrix_.size() * sizeof(std::uint64_t)) {
+    if (tree_v2_ &&
+        status.data_bytes >= matrix_.size() * sizeof(std::uint64_t)) {
       std::memcpy(matrix_.data(), element_buffer_.data(),
                   matrix_.size() * sizeof(std::uint64_t));
       counts_known_ = true;
@@ -1607,17 +1564,14 @@ void Stream::handle(mpi::Rank& self, const mpi::Status& status) {
     return;
   }
   if (status.tag == kTagSync) {
-    handle_sync(self, status);
+    handle_sync(self, status, element_buffer_.data());
     return;
   }
   ++processed_data_;
-  if (operator_) {
-    StreamElement el{status.synthetic || element_buffer_.empty()
-                         ? nullptr
-                         : element_buffer_.data(),
-                     status.bytes, status.source};
-    operator_(el);
-  }
+  if (operator_)
+    operator_(StreamElement{
+        status.data_bytes > 0 ? element_buffer_.data() : nullptr,
+        status.bytes, status.source, status.data_bytes});
   account_data_element(self, status.source);
 }
 
@@ -1630,139 +1584,85 @@ std::uint64_t Stream::operate_while(mpi::Rank& self,
   ensure_consumer_state(self);
   const sim::SpanScope span(self.process(), obs::SpanKind::StreamOperate,
                             "stream-operate");
-  const std::uint64_t processed = operate_loop(self, keep_going);
+  // First-come-first-served across every producer: whichever element arrives
+  // next gets processed, regardless of which peer sent it.
+  std::uint64_t processed = 0;
+  while (!consumer_done(self) && keep_going())
+    if (receive_step(self, /*block=*/true) == Step::Element) ++processed;
+  // Producers block in their termination protocol until their replay logs
+  // are acknowledged durable. Auto-durability acks normally flow from the
+  // data path, but when a *term* (or a membership event) is what flips
+  // exhaustion, nothing after it would ack — flush here so the producers'
+  // durability wait always terminates.
+  if (resilient_ && !manual_durability_) flush_durable_acks(self);
   if (exhausted()) flush_consumer_metrics(self);
   return processed;
 }
 
-std::uint64_t Stream::operate_loop(mpi::Rank& self,
-                                   const std::function<bool()>& keep_going) {
-  std::uint64_t processed = 0;
-  // First-come-first-served across every producer: whichever element arrives
-  // next gets processed, regardless of which peer sent it. A partially
-  // drained frame is consumed to completion before the mailbox is touched
-  // again (frames preserve per-(context,src) order; arrival interleaving
-  // across sources happens at frame granularity).
-  auto& machine = self.machine();
-  if (!resilient_) {
-    while (true) {
-      if (exhausted() || !keep_going()) break;
-      if (frame_left_ > 0) {
-        if (consume_frame_element(self)) ++processed;
-        continue;
-      }
-      auto req = machine.post_recv(
-          context_, self.world_rank(), mpi::kAnySource, mpi::kAnyTag,
-          element_buffer_.empty()
-              ? mpi::RecvBuf::discard(element_size_)
-              : mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()},
-          {}, /*fused_wake=*/true);
-      self.wait(req);
-      if (req->status.tag == kTagFrame) {
-        // One aggregate recv-overhead advance was fused into this wake-up;
-        // the frame's elements now drain with no further machine traffic.
-        begin_frame(req->status);
-        continue;
-      }
-      handle(self, req->status);
-      if (req->status.tag == kTagData) ++processed;
-    }
-    return processed;
+bool Stream::poll_one(mpi::Rank& self) {
+  ensure_consumer_state(self);
+  // Terminations are control flow, not elements: consume them silently and
+  // keep looking, so the return value counts data elements only (matching
+  // operate_while accounting). Replay duplicates are likewise absorbed.
+  while (!consumer_done(self)) {
+    const Step step = receive_step(self, /*block=*/false);
+    if (step != Step::Other) return step == Step::Element;
   }
-  // Resilient loop: never park in a plain blocking receive — a crash,
-  // rejoin, or elastic membership change may be exactly what unblocks
-  // termination (adoption raising the expected term count, a takeover of
-  // the aggregator role, a flow handed back). Idle waits therefore sleep on
-  // probe + failure waiters, waking on the next arrival *or* membership
-  // event, and every iteration re-reacts before re-judging exhaustion.
-  while (true) {
+  return false;
+}
+
+bool Stream::consumer_done(mpi::Rank& self) {
+  if (resilient_) {
+    // Re-react before judging exhaustion: adoption raising the expected
+    // term count, a takeover of the aggregator role or a flow handed back
+    // may be exactly what completes (or reopens) termination.
     check_consumer_failover(self);
     if (tree_v2_) {
       progress_termination(self);
       maybe_ack_announce(self);
     }
-    if (exhausted() || !keep_going()) {
-      // Producers block in their termination protocol until their replay
-      // logs are acknowledged durable. Auto-durability acks normally flow
-      // from the data path, but when a *term* (or a membership event) is
-      // what flips exhaustion, nothing after it would ack — flush here so
-      // the producers' durability wait always terminates.
-      if (!manual_durability_) flush_durable_acks(self);
-      break;
-    }
-    if (frame_left_ > 0) {
-      if (consume_frame_element(self)) ++processed;
-      continue;
-    }
-    mpi::Status status;
+  }
+  return exhausted();
+}
+
+Stream::Step Stream::receive_step(mpi::Rank& self, bool block) {
+  // A partially drained frame is consumed to completion before the mailbox
+  // is touched again (frames preserve per-(context,src) order; arrival
+  // interleaving across sources happens at frame granularity).
+  if (frame_left_ > 0)
+    return consume_frame_element(self) ? Step::Element : Step::Other;
+  auto& machine = self.machine();
+  mpi::Status next;  // wildcards unless probed
+  if (resilient_ || !block) {
     if (!machine.match_probe(context_, self.world_rank(), mpi::kAnySource,
-                             mpi::kAnyTag, &status)) {
+                             mpi::kAnyTag, &next)) {
+      if (!block) return Step::Idle;
+      // Never park a resilient consumer in a plain blocking receive: sleep
+      // on the next arrival *or* membership event, and let the caller
+      // re-react before re-judging exhaustion.
       machine.add_probe_waiter(self.world_rank(), self.process().id());
       machine.add_failure_waiter(self.process().id());
       self.process().set_state_note(blocked_note("stream poll"));
       self.process().suspend();
       machine.ensure_alive(self.world_rank());
       self.process().set_state_note({});
-      continue;
+      return Step::Other;
     }
-    // After a successful probe the receive completes synchronously inside
-    // post_recv, so wait() never blocks and charges o_r on the spot.
-    auto req = machine.post_recv(
-        context_, self.world_rank(), status.source, status.tag,
-        element_buffer_.empty()
-            ? mpi::RecvBuf::discard(element_size_)
-            : mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()});
-    self.wait(req);
-    if (req->status.tag == kTagFrame) {
-      begin_frame(req->status);
-      continue;
-    }
-    handle(self, req->status);
-    if (req->status.tag == kTagData) ++processed;
   }
-  return processed;
-}
-
-bool Stream::poll_one(mpi::Rank& self) {
-  ensure_consumer_state(self);
-  auto& machine = self.machine();
-  // Terminations are control flow, not elements: consume them silently and
-  // keep looking, so the return value counts data elements only (matching
-  // operate_while accounting). Replay duplicates are likewise absorbed.
-  while (true) {
-    if (resilient_) {
-      check_consumer_failover(self);
-      if (tree_v2_) {
-        progress_termination(self);
-        maybe_ack_announce(self);
-      }
-    }
-    if (exhausted()) break;
-    if (frame_left_ > 0) {
-      if (consume_frame_element(self)) return true;
-      continue;
-    }
-    mpi::Status status;
-    if (!machine.match_probe(context_, self.world_rank(), mpi::kAnySource,
-                             mpi::kAnyTag, &status))
-      return false;
-    // No fused wake here: after a successful probe the receive completes
-    // synchronously inside post_recv, so wait() never blocks and charges
-    // o_r on the spot.
-    auto req = machine.post_recv(
-        context_, self.world_rank(), status.source, status.tag,
-        element_buffer_.empty()
-            ? mpi::RecvBuf::discard(element_size_)
-            : mpi::RecvBuf{element_buffer_.data(), element_buffer_.size()});
-    self.wait(req);
-    if (req->status.tag == kTagFrame) {
-      begin_frame(req->status);
-      continue;
-    }
-    handle(self, req->status);
-    if (req->status.tag == kTagData) return true;
+  // Unprobed, the consumer blocks in the receive and the o_r charge is
+  // fused into its wake-up; after a successful probe the receive completes
+  // synchronously inside post_recv, so wait() never blocks and charges o_r
+  // on the spot.
+  auto req = machine.post_recv(context_, self.world_rank(), next.source,
+                               next.tag, mpi::RecvBuf::growing(element_buffer_),
+                               {}, /*fused_wake=*/true);
+  self.wait(req);
+  if (req->status.tag == kTagFrame) {
+    begin_frame(req->status);
+    return Step::Other;
   }
-  return false;
+  handle(self, req->status);
+  return req->status.tag == kTagData ? Step::Element : Step::Other;
 }
 
 // ---------------------------------------------------------------------------

@@ -113,11 +113,14 @@ namespace ds::stream {
 struct CoalesceState;
 
 /// A received stream element, valid only during the operator invocation.
-/// `data` is null for synthetic elements (modeled payloads).
+/// `bytes` is the element's size on the simulated wire; only the first
+/// `data_bytes` of it were delivered (fewer for header-only elements, none
+/// for synthetic ones, whose `data` is null).
 struct StreamElement {
   const std::byte* data = nullptr;
   std::size_t bytes = 0;
   int producer = -1;  ///< producer index in the channel
+  std::size_t data_bytes = 0;  ///< real bytes readable at `data`
 };
 
 /// Consumer-side operator applied on-the-fly to arriving elements.
@@ -322,17 +325,25 @@ class Stream {
   void begin_frame(const mpi::Status& status);
   bool consume_frame_element(mpi::Rank& self);
   void account_data_element(mpi::Rank& self, int producer);
+  /// Outcome of one receive_step.
+  enum class Step : std::uint8_t {
+    Element,  ///< a data element reached the operator and the accounting
+    Other,    ///< control traffic, a frame opened, a duplicate, a wake-up
+    Idle,     ///< nothing pending (non-blocking steps only)
+  };
+  /// Consumer: react to crashes, rejoins and membership changes and drive
+  /// the resilient termination protocol (resilient streams only), then
+  /// report whether the stream is exhausted.
+  bool consumer_done(mpi::Rank& self);
+  /// Consumer: the one receive-and-dispatch step behind operate and
+  /// poll_one — the next element of a partially drained frame, else the
+  /// next message. Without `block` it returns Idle when nothing is pending.
+  Step receive_step(mpi::Rank& self, bool block);
   void handle(mpi::Rank& self, const mpi::Status& status);
   void handle_tree_term(mpi::Rank& self, const mpi::Status& status);
   /// Send the collective term on to this consumer's tree children, sliced
   /// to each child's subtree.
   void fan_out_term(mpi::Rank& self, const std::vector<TermEntry>& entries);
-  /// One fan-out hop: send `entries` sliced to `child`'s subtree, or — when
-  /// the child is a crashed consumer of a resilient stream — route around it
-  /// into its own tree children, so the collective term reaches every
-  /// surviving subtree.
-  void fan_out_to(mpi::Rank& self, int child,
-                  const std::vector<TermEntry>& entries);
   /// Return `producer`'s accumulated credits as one batched ack message.
   void flush_credits(mpi::Rank& self, int producer);
   void flush_all_credits(mpi::Rank& self);
@@ -379,7 +390,8 @@ class Stream {
   /// send_rebalance_sync ships the (producer, `flow`) cursors this rank
   /// holds to consumer `target` and erases the local entries (all producers,
   /// or just `only_producer` when answering a single handback marker).
-  void handle_sync(mpi::Rank& self, const mpi::Status& status);
+  void handle_sync(mpi::Rank& self, const mpi::Status& status,
+                   const std::byte* data);
   void send_rebalance_sync(mpi::Rank& self, int target, int flow,
                            int only_producer = -1);
   /// Consumer: block until the live retiree owning `flow` has delivered its
@@ -393,13 +405,9 @@ class Stream {
                         std::uint64_t upto);
   /// Consumer: ack the current consumption point of every tracked flow.
   void flush_durable_acks(mpi::Rank& self);
-  [[nodiscard]] std::uint32_t window_now() const noexcept;
-  /// The real bodies of terminate()/operate_while(); the public entry
-  /// points wrap them with the ds::obs span and the lifecycle metrics
-  /// flush so every exit path (including RankFailure unwinds) is covered.
+  /// The real body of terminate(); the public entry point adds the
+  /// lifecycle metrics flush on clean completion.
   void terminate_impl(mpi::Rank& self);
-  std::uint64_t operate_loop(mpi::Rank& self,
-                             const std::function<bool()>& keep_going);
   /// Lifecycle flush into the machine's metrics registry (ds::obs): each
   /// role adds its totals once, when it completes — the per-element hot
   /// path never touches the registry.
@@ -436,6 +444,10 @@ class Stream {
   std::uint64_t expected_data_ = 0;
   bool counts_known_ = false;  ///< tree mode: announced counts received
   std::vector<std::uint64_t> count_accum_;  ///< aggregator: per-consumer sums
+  /// Receive buffer of every consumer-side message (elements, frames,
+  /// control traffic): the receive grows it to the real payload bytes at
+  /// delivery and never shrinks it, so it settles at the largest real
+  /// payload seen — modeled bodies never reach it.
   std::vector<std::byte> element_buffer_;
   /// Credit batching (flow-controlled streams): per-producer count of
   /// consumed-but-unacked elements, flushed every ack_every_-th element and
@@ -500,8 +512,7 @@ class Stream {
   char state_note_buf_[192] = {};
   [[nodiscard]] const char* blocked_note(const char* what);
 
-  // termination scratch, reserved once and reused across terms/children so
-  // the fan-out does not reallocate per child slice
+  // termination scratch, reused across terms and children (capacity kept)
   std::vector<TermEntry> term_rx_;     ///< decoded incoming term entries
   std::vector<TermEntry> term_tx_;     ///< producer entries / aggregator totals
   std::vector<TermEntry> term_slice_;  ///< per-child subtree slice

@@ -1,6 +1,7 @@
 #include "mpi/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -325,6 +326,7 @@ detail::OpRef<detail::RecvOp> Machine::post_recv(std::uint64_t context,
   op->tag_filter = tag_filter;
   op->out = out.ptr;
   op->capacity = out.bytes;
+  op->grow = out.grow;
   op->on_complete = std::move(on_complete);
   op->fused_wake = fused_wake;
   op->src_world = src_world;
@@ -407,15 +409,26 @@ void Machine::start_transfer(const detail::OpRef<detail::RecvOp>& recv,
 
 void Machine::finish_delivery(const detail::OpRef<detail::RecvOp>& recv,
                               const detail::OpRef<detail::SendOp>& send) {
-  if (recv->out && send->has_payload()) {
-    std::memcpy(recv->out, send->payload(),
-                std::min(recv->capacity, send->payload_bytes));
+  std::size_t delivered = 0;
+  if (send->has_payload()) {
+    if (std::vector<std::byte>* grow = recv->grow) {
+      if (grow->size() < send->payload_bytes) {
+        // Reserve the payload's power-of-two size class, so a buffer whose
+        // payloads drift upward (self-tuned frames) converges after one
+        // growth per class instead of reallocating at every new maximum.
+        grow->reserve(std::bit_ceil(send->payload_bytes));
+        grow->resize(send->payload_bytes);
+      }
+      recv->out = grow->data();
+      recv->capacity = grow->size();
+    }
+    if (recv->out) {
+      delivered = std::min(recv->capacity, send->payload_bytes);
+      std::memcpy(recv->out, send->payload(), delivered);
+    }
   }
-  recv->status = Status{send->src_comm_rank, send->tag, send->bytes,
+  recv->status = Status{send->src_comm_rank, send->tag, send->bytes, delivered,
                         send->bytes > 0 && !send->has_payload()};
-  if (send->mode == detail::SendMode::Rendezvous) {
-    // The sender-side completion event fires independently; nothing to do.
-  }
   complete_op(*recv);
 }
 

@@ -238,6 +238,7 @@ struct RecvOp final : OpState {
   int src_world = kAnySource;
   void* out = nullptr;
   std::size_t capacity = 0;
+  std::vector<std::byte>* grow = nullptr;  ///< growing receive (RecvBuf::grow)
   bool overhead_charged = false;  ///< o_r charged at observation, once
   /// Fused wake/advance (streams): when completion finds a blocked waiter,
   /// wake it at completion + o_r with the overhead pre-charged — one
@@ -252,6 +253,7 @@ struct RecvOp final : OpState {
     src_world = kAnySource;
     out = nullptr;
     capacity = 0;
+    grow = nullptr;
     overhead_charged = false;
     fused_wake = false;
   }

@@ -7,8 +7,9 @@
 namespace ds::mpi {
 
 namespace {
-[[nodiscard]] int require_member(const Comm& comm, int world_rank,
-                                 const char* who) {
+/// Throws unless the caller belongs to `comm`; returns its rank there (the
+/// check alone is what irecv/probe/iprobe need).
+int require_member(const Comm& comm, int world_rank, const char* who) {
   const int r = comm.rank_of_world(world_rank);
   if (r < 0)
     throw std::logic_error(std::string(who) + ": calling rank is not in the communicator");

@@ -6,6 +6,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace ds::mpi {
 
@@ -21,6 +22,10 @@ struct Status {
   int source = kAnySource;  ///< sending rank, in the communicator's numbering
   int tag = kAnyTag;
   std::size_t bytes = 0;    ///< payload size on the wire
+  /// Real payload bytes written into the receive buffer: 0 for synthetic
+  /// messages and discarding receives, fewer than `bytes` for header-only
+  /// sends (SendBuf::wire_bytes) or a short fixed buffer.
+  std::size_t data_bytes = 0;
   bool synthetic = false;   ///< true when the sender attached no real payload
   /// The operation was aborted by fault injection (the receiving rank was
   /// crashed while the receive was posted); no data arrived.
@@ -98,13 +103,22 @@ struct SendBuf {
 };
 
 /// Incoming buffer. `ptr == nullptr` discards payload content (synthetic
-/// receive); `bytes` is the capacity.
+/// receive); `bytes` is the capacity. A growing receive (`grow` set) instead
+/// delivers into the named vector, enlarging it at delivery to the real
+/// payload size and never shrinking it, so a buffer reused across receives
+/// settles at the largest real payload seen and then stops allocating.
 struct RecvBuf {
   void* ptr = nullptr;
   std::size_t bytes = 0;
+  std::vector<std::byte>* grow = nullptr;
 
   [[nodiscard]] static RecvBuf discard(std::size_t capacity) noexcept {
     return RecvBuf{nullptr, capacity};
+  }
+  /// Deliver into `buffer`, grown to fit. The vector must outlive the
+  /// receive; read it only after completion (growth may move its storage).
+  [[nodiscard]] static RecvBuf growing(std::vector<std::byte>& buffer) noexcept {
+    return RecvBuf{nullptr, 0, &buffer};
   }
   template <typename T>
   [[nodiscard]] static RecvBuf of(T* data, std::size_t count) noexcept {

@@ -290,6 +290,57 @@ TEST(Element, PayloadToRejectsCountsBeyondTheWireSize) {
   EXPECT_THROW(el.payload_to(out, 3), std::length_error);
 }
 
+TEST(Element, ModeledBodyIsNeverReadable) {
+  // send_modeled puts only the record on the wire for real: the handler sees
+  // the delivered byte count, and payload_to refuses the modeled body rather
+  // than handing out bytes that were never sent — whether the element
+  // travels alone or packed in a frame.
+  struct Note {
+    std::int32_t items = 0;
+    std::int32_t pad = 0;
+  };
+  constexpr std::size_t kBody = 64 * sizeof(double);
+  for (const std::uint32_t budget :
+       {0u, stream::ChannelConfig::kDefaultCoalesceBudget}) {
+    int seen = 0;
+    testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
+      auto pipeline = Pipeline::over(self, self.world()).with_helper_ranks({1});
+      StreamOptions options;
+      options.coalesce_budget = budget;
+      auto notes = pipeline.stream<Note>(kBody, options);
+      pipeline.run(
+          [&](Context& ctx) {
+            const std::array<double, 2> real{1.5, 2.5};
+            ctx[notes].send_modeled(Note{64, 0}, kBody);
+            ctx[notes].send(Note{2, 0}, real.data(), real.size());
+          },
+          [&](Context& ctx) {
+            auto& s = ctx[notes];
+            s.on_receive([&](const Element<Note>& el) {
+              ++seen;
+              EXPECT_FALSE(el.synthetic);
+              std::vector<double> out;
+              const auto items = static_cast<std::size_t>(el.record.items);
+              if (el.record.items == 64) {
+                EXPECT_EQ(el.payload_bytes, kBody);
+                EXPECT_EQ(el.delivered_bytes(), 0u);
+                EXPECT_THROW(el.payload_to(out, items), std::length_error);
+                EXPECT_THROW(el.payload_to(out, 1), std::length_error);
+                return;
+              }
+              EXPECT_EQ(el.payload_bytes, 2 * sizeof(double));
+              EXPECT_EQ(el.delivered_bytes(), 2 * sizeof(double));
+              el.payload_to(out, items);
+              EXPECT_EQ(out, (std::vector<double>{1.5, 2.5}));
+              EXPECT_THROW(el.payload_to(out, items + 1), std::length_error);
+            });
+            EXPECT_EQ(s.operate(), 2u);
+          });
+    });
+    EXPECT_EQ(seen, 2) << "coalesce budget " << budget;
+  }
+}
+
 TEST(Pipeline, MisuseIsRejected) {
   testing::run_program(testing::tiny_machine(2), [&](Rank& self) {
     {

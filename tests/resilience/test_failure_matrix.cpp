@@ -455,5 +455,59 @@ TEST(FailureMatrix, RetireEffectiveAggregatorIsRejected) {
   EXPECT_TRUE(threw);
 }
 
+TEST(FailureMatrix, AdoptionMidFrameLeavesTheFrameIntact) {
+  // The adopter of a retiring consumer's slot waits for the retiree's cursor
+  // sync between two elements of a frame it is still draining (its operator
+  // yields to compute). The sync must not land on top of that frame: every
+  // element still arrives exactly once and intact.
+  constexpr int kProducers = 4, kConsumers = 2, kEach = 64;
+  auto config = testing::tiny_machine(kProducers + kConsumers);
+  std::vector<std::uint64_t> delivered;
+  bool retiree_exhausted = false, adopter_exhausted = false;
+  testing::run_program(config, [&](Rank& self) {
+    const bool producer = self.world_rank() < kProducers;
+    ChannelConfig cfg;
+    cfg.mapping = ChannelConfig::Mapping::RoundRobin;
+    cfg.checkpoint_interval = 16;
+    const Channel ch =
+        Channel::create(self, self.world(), producer, !producer, cfg);
+    const int me = ch.my_consumer_index(self);
+    int count = 0;
+    Stream s = Stream::attach(ch, mpi::Datatype::int64(),
+                              [&](const StreamElement& el) {
+                                std::uint64_t id = 0;
+                                if (el.data != nullptr)
+                                  std::memcpy(&id, el.data, sizeof id);
+                                delivered.push_back(id);
+                                ++count;
+                                if (me == 0)
+                                  self.compute(util::microseconds(50));
+                              });
+    if (producer) {
+      // One burst: same-instant sends pack into frames of up to 16.
+      for (int i = 0; i < kEach; ++i) {
+        const std::uint64_t id = element_id(self.world_rank(), i);
+        s.isend(self, SendBuf::of(&id, 1));
+      }
+      s.terminate(self);
+    } else if (me == 1) {
+      s.operate_while(self, [&] { return count < 40; });
+      s.retire(self);
+      retiree_exhausted = s.exhausted();
+    } else {
+      s.operate(self);
+      adopter_exhausted = s.exhausted();
+    }
+  });
+  EXPECT_TRUE(retiree_exhausted);
+  EXPECT_TRUE(adopter_exhausted);
+  EXPECT_TRUE(all_unique(delivered));
+  std::set<std::uint64_t> seen(delivered.begin(), delivered.end());
+  EXPECT_EQ(delivered.size(), std::size_t{kProducers} * kEach);
+  for (int p = 0; p < kProducers; ++p)
+    for (int i = 0; i < kEach; ++i)
+      EXPECT_TRUE(seen.count(element_id(p, i))) << p << "/" << i;
+}
+
 }  // namespace
 }  // namespace ds
